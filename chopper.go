@@ -305,7 +305,7 @@ func WithLenientVerifier() Option {
 }
 
 // WithPlanObserver routes plan-verifier violations to fn instead of aborting
-// the job (chopperverify uses this to collect violations across workloads).
+// the job, so a driver can collect violations across many jobs.
 func WithPlanObserver(fn func([]PlanViolation)) Option {
 	return func(c *sessionConfig) { c.onViolations = fn }
 }

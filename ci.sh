@@ -2,29 +2,31 @@
 # ci.sh — the canonical verify pipeline for this repository.
 #
 # Tier-1 (ROADMAP.md) is `go build ./... && go test ./...`; this script is
-# the full gate: vet, the chopperlint determinism/correctness suite, the
-# chopperguard lock-contract/durability-protocol verifier, the test suite
-# (with shuffled execution order, so inter-test state leaks cannot hide),
-# the race detector over every internal package, short native-fuzz runs of
-# the execution engine against its single-threaded oracle and of the guard
-# pipeline against arbitrary source, the plan-IR invariant checker, and
-# the symbolic plan extractor, chopperplan — the static plan-drift gate
-# diffing statically extracted stage graphs against the ones the scheduler
-# submits — chopperkey, the static key-flow gate (flow-sensitive key lint
-# rules plus the key-fact drift diff against the runtime lineage) —
-# chopperheap, the static allocation-site and buffer-lifetime gate (hot-path
-# allocation budgets against heapbudget.json, box-free F64 kernels, shuffle
-# buffer generation lifetimes, pre-sizable appends) — and chopperverify,
-# the plan-IR and configuration verifiers run end to end over every
-# built-in workload.
+# the full gate: vet, the static-analysis driver, the test suite (with
+# shuffled execution order, so inter-test state leaks cannot hide), the race
+# detector over every internal package, the benchmark-regression harness,
+# the chopperd and chopperfleet smoke gates, short native-fuzz runs, and the
+# workload gate.
 #
-# Every step must pass for a change to land. The gate CLIs exit non-zero
-# on any finding and share one wire-JSON schema (tool/rule/pos/msg/
-# severity); their per-tool artifacts are merged into lint.json at the
-# end. See DESIGN.md ("Determinism invariants & linting", "Plan-IR
-# invariants", "Static plan extraction", "Lock contracts & durability
-# protocol") for the rule catalogues and the //lint:ignore suppression
-# syntax (a suppression must carry a reason).
+# The static tools are two binaries, built once into bin/:
+#
+#   chopperlint    one load and one pass of every internal/lint rule family
+#                  over ./... — determinism and correctness, lock contracts
+#                  and the durability protocol, key flow, and hot-path
+#                  allocation sites gated against heapbudget.json — writing
+#                  the wire-JSON findings to lint.json and the human lines
+#                  to stderr.
+#   chopperverify  the workload gate: every built-in workload's statically
+#                  extracted plans and key facts, checked against the
+#                  plan-IR invariants and diffed against the runtime
+#                  (plan and key-fact drift), plus the plan and
+#                  configuration verifiers over vanilla, forced and tuned
+#                  runs.
+#
+# Every step must pass for a change to land; both tools exit non-zero on
+# any finding. See DESIGN.md §6 for the rule catalogue, the workload gate
+# and the //lint:ignore suppression syntax (a suppression must carry a
+# reason).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -61,62 +63,19 @@ gate "build"
 go build ./...
 
 gate "build gate CLIs"
-# Build the six gate binaries once into bin/ instead of `go run`-ing each
-# gate: one compile apiece, and the json-artifact steps reuse them.
 mkdir -p bin
-go build -o bin/ ./cmd/chopperlint ./cmd/chopperguard ./cmd/chopperplan ./cmd/chopperverify ./cmd/chopperkey ./cmd/chopperheap
+go build -o bin/ ./cmd/chopperlint ./cmd/chopperverify
 
 gate "vet"
 go vet ./...
 
 gate "chopperlint"
-bin/chopperlint ./...
-
-gate "chopperlint (self-analysis)"
-# The linter and the symbolic extractor must hold themselves to their own
-# rules; an explicit step so narrowing the sweep above can never silently
-# exempt them. Fixture files under testdata/ are skipped by the loader.
-bin/chopperlint ./internal/lint/... ./internal/plan/...
-
-gate "chopperguard"
-# Lock-contract and durability-protocol verification of the service layer:
-# guarded fields accessed under their mutex, copy-on-read accessors
-# returning deep copies, journal hooks inside the mutating write-lock
-# section, no ack-before-append, read-locked checks re-validated before
-# acting.
-bin/chopperguard ./...
-
-gate "chopperkey (lint)"
-# Static key-flow rules: divergent join key types (keydrift), partitioning
-# dropped before anything uses it (shufflewaste), provably constant or
-# tiny-cardinality shuffle keys (constkey), plus the stale-suppression
-# audit scoped to the key rules.
-bin/chopperkey ./...
-
-gate "chopperheap"
-# Static allocation-site and buffer-lifetime rules: hot-path allocation
-# sites gated against the committed heapbudget.json (hotalloc — a new site
-# in anything reachable from the wave/kernel/shuffle roots fails until
-# audited with `chopperheap -write-budget`), boxed fallbacks or in-loop
-# float64 boxing inside the typed F64 kernel regions (boxf64), shuffle
-# cache slices escaping their generation (genlife), and pre-sizable
-# append ladders (prealloc). TestHeapBudgetMatchesSweep pins the budget
-# file to a fresh sweep, and TestPlantedHeapViolations is the
-# deliberate-break check proving this gate catches a planted boxed F64
-# call and a planted escaping shuffle slice.
-bin/chopperheap ./...
-
-gate "wire-JSON artifacts"
-# Machine-readable diagnostics for CI dashboards, one artifact per tool in
-# the shared wire schema, merged (sorted, deduplicated) into lint.json;
-# byte-stable ordering, so every artifact is diffable across runs. The
-# static tools are clean here (they just gated above); the artifacts exist
-# so downstream tooling has one fixed place to look.
-bin/chopperlint -json ./... > chopperlint.json
-bin/chopperguard -json ./... > chopperguard.json
-bin/chopperkey -json ./... > chopperkey.json
-bin/chopperheap -json ./... > chopperheap.json
-bin/chopperlint -merge chopperlint.json chopperguard.json chopperkey.json chopperheap.json > lint.json
+# All 20 rules in one pass over one shared program load. The wire-JSON
+# artifact is byte-stable (sorted findings), so it is diffable across runs.
+# TestRepoIsClean runs the same sweep in-process and asserts that it covers
+# internal/lint, internal/lint/ssa and internal/plan/extract, so the
+# analyzers and the extractor stay subject to their own rules.
+bin/chopperlint -json ./... > lint.json
 
 gate "test (shuffled)"
 go test -shuffle=on ./...
@@ -178,18 +137,6 @@ go test -run='^$' -fuzz=FuzzSymbolicExtract -fuzztime=5s ./internal/plan/extract
 go test -run='^$' -fuzz=FuzzLockContract -fuzztime=5s ./internal/lint
 go test -run='^$' -fuzz=FuzzKeyFacts -fuzztime=5s ./internal/lint
 go test -run='^$' -fuzz=FuzzHeapFacts -fuzztime=5s ./internal/lint
-
-gate "chopperplan"
-# Static plan-drift gate: symbolically extract every workload's stage
-# graphs from source, verify the plan-IR invariants on them, and diff them
-# against the plans the scheduler actually submits.
-bin/chopperplan -workload=all
-
-gate "chopperkey (drift)"
-# Key-fact drift gate: the statically inferred per-RDD key facts (keyed
-# state, partitioner placement, scheme, co-partition grouping, dependency
-# kinds) must match the lineage the runtime actually builds, job for job.
-bin/chopperkey -workload=all
 
 gate "chopperverify"
 bin/chopperverify -workload=all

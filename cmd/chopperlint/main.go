@@ -1,88 +1,45 @@
-// Command chopperlint runs the repository's determinism & correctness
-// static-analysis suite (internal/lint) over the module's non-test
-// packages and exits non-zero on any finding.
+// Command chopperlint is the repository's static-analysis driver: it loads
+// the module once into a shared lint.Program and runs every rule family of
+// internal/lint — determinism and correctness, lock contracts and the
+// durability protocol, key flow, and hot-path allocation sites — in one
+// pass over the non-test packages, exiting non-zero on any finding.
 //
 // Usage:
 //
 //	chopperlint [-json] [-rules=<comma-list>] [packages]
-//	chopperlint -merge file.json...
+//	chopperlint -write-budget
 //
-// Packages default to ./... relative to the enclosing module root. The
-// -json flag emits findings in the unified wire schema shared by every
-// gate CLI (tool/rule/pos/msg/severity) instead of compiler-style text
-// lines; -rules restricts the run to a comma-separated subset of rule
-// names (default: all; chopperguard rule names are accepted too). The
-// -merge mode reads wire-JSON finding files and writes one deduplicated,
-// sorted array to stdout — ci.sh uses it to fold the per-tool artifacts
-// into a single lint.json. Exit status: 0 clean, 1 findings, 2
-// load/parse or usage error (an unknown rule name is a usage error).
+// Packages default to ./... relative to the enclosing module root. Each
+// rule scopes its diagnostics to the packages it governs (DESIGN.md §6).
+// -rules restricts the run to a comma-separated subset of rule names
+// (default: all). With -json the findings go to stdout as one array in the
+// unified wire schema (tool/rule/pos/msg/severity) and the human-readable
+// lines move to stderr. -write-budget regenerates heapbudget.json at the
+// module root from a fresh sweep; run it after auditing a hot-path
+// allocation change and commit the result. Exit status: 0 clean, 1
+// findings, 2 load/parse or usage error (an unknown rule name is a usage
+// error).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"chopper/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics in the unified wire-JSON schema")
+	jsonOut := flag.Bool("json", false, "emit findings on stdout in the unified wire-JSON schema (human lines go to stderr)")
 	rules := flag.String("rules", "", "comma-separated rule names to run (default: all)")
-	merge := flag.Bool("merge", false, "merge wire-JSON finding files (the arguments) into one array on stdout")
+	writeBudget := flag.Bool("write-budget", false, "regenerate heapbudget.json at the module root from a fresh sweep and exit")
 	flag.Parse()
-	if *merge {
-		os.Exit(runMerge(flag.Args()))
+	if *writeBudget {
+		os.Exit(runWriteBudget())
 	}
 	os.Exit(run(flag.Args(), *jsonOut, *rules))
-}
-
-// runMerge concatenates wire-JSON finding arrays, dedupes, sorts, and
-// writes the result to stdout.
-func runMerge(files []string) int {
-	if len(files) == 0 {
-		return fail(fmt.Errorf("-merge needs at least one wire-JSON file"))
-	}
-	var all []lint.WireDiagnostic
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return fail(err)
-		}
-		var part []lint.WireDiagnostic
-		if err := json.Unmarshal(data, &part); err != nil {
-			return fail(fmt.Errorf("%s: %v", f, err))
-		}
-		all = append(all, part...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Pos != b.Pos {
-			return a.Pos < b.Pos
-		}
-		if a.Tool != b.Tool {
-			return a.Tool < b.Tool
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
-	})
-	dedup := all[:0]
-	for i, w := range all {
-		if i > 0 && w == all[i-1] {
-			continue
-		}
-		dedup = append(dedup, w)
-	}
-	if err := lint.WriteWire(os.Stdout, dedup); err != nil {
-		return fail(err)
-	}
-	return 0
 }
 
 // selectAnalyzers resolves the -rules flag value.
@@ -102,6 +59,26 @@ func selectAnalyzers(rules string) ([]*lint.Analyzer, error) {
 	return lint.ByName(names)
 }
 
+// program loads the enclosing module into one shared Program: every
+// package is parsed and type-checked at most once, and whole-program facts
+// (lock order, guard contracts, heap reachability) are computed once and
+// shared by every rule and file that consults them.
+func program() (*lint.Program, string, error) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		return nil, "", err
+	}
+	root, err := lint.FindModuleRoot(cwd)
+	if err != nil {
+		return nil, "", err
+	}
+	prog, err := lint.NewProgram(root)
+	if err != nil {
+		return nil, "", err
+	}
+	return prog, root, nil
+}
+
 func run(patterns []string, jsonOut bool, rules string) int {
 	analyzers, err := selectAnalyzers(rules)
 	if err != nil {
@@ -110,18 +87,7 @@ func run(patterns []string, jsonOut bool, rules string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		return fail(err)
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		return fail(err)
-	}
-	// One shared Program: every package is parsed and type-checked exactly
-	// once, and whole-program facts (the lock-order graph) are computed
-	// once and shared across every rule and file that consults them.
-	prog, err := lint.NewProgram(root)
+	prog, root, err := program()
 	if err != nil {
 		return fail(err)
 	}
@@ -150,19 +116,39 @@ func run(patterns []string, jsonOut bool, rules string) int {
 	}
 	diags = lint.SortDiagnostics(diags)
 
+	text := os.Stdout
 	if jsonOut {
+		text = os.Stderr
 		if err := lint.WriteJSONTool(os.Stdout, "chopperlint", diags); err != nil {
 			return fail(err)
 		}
-	} else if err := lint.WriteText(os.Stdout, diags); err != nil {
+	}
+	if err := lint.WriteText(text, diags); err != nil {
 		return fail(err)
 	}
 	if len(diags) > 0 {
-		if !jsonOut {
-			fmt.Fprintf(os.Stderr, "chopperlint: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "chopperlint: %d finding(s)\n", len(diags))
 		return 1
 	}
+	return 0
+}
+
+// runWriteBudget recomputes the hot-path allocation-site budget and
+// commits it to heapbudget.json at the module root.
+func runWriteBudget() int {
+	prog, root, err := program()
+	if err != nil {
+		return fail(err)
+	}
+	data, err := lint.HeapBudgetJSON(prog)
+	if err != nil {
+		return fail(err)
+	}
+	path := filepath.Join(root, lint.HeapBudgetFile)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "chopperlint: wrote %s\n", path)
 	return 0
 }
 

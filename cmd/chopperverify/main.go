@@ -1,18 +1,31 @@
-// Command chopperverify runs CHOPPER's correctness verifiers end to end
-// over the built-in workloads (the same pipelines the examples/ programs
-// build): for every workload it executes a vanilla run, forced uniform
-// hash/range configurations at the extremes of the search grid, and the
-// full CHOPPER pipeline (profile → optimize → tuned co-partitioned run),
-// with
+// Command chopperverify is the workload gate: it runs CHOPPER's plan and
+// configuration verifiers end to end over the built-in workloads (the same
+// pipelines the examples/ programs build) and checks the static plan and
+// key-fact models against what the runtime actually builds. For every
+// workload it
 //
-//   - the plan-IR verifier (internal/plan/verify) observing every job's
-//     stage graph: acyclicity, shuffle boundaries at wide dependencies,
-//     co-partitioned join inputs, partition counts within the executors'
-//     memory budget, partitioner/key-type compatibility; and
-//   - the configuration verifier (core.VerifySchemes) checking every
-//     optimizer emission: known signatures, valid schemes, counts inside
-//     the searched grid, join groups agreeing on one scheme, fixed stages
-//     only retuned through inserted repartition phases.
+//   - extracts the stage graphs and per-RDD key facts statically, without
+//     running the workload (internal/plan/extract), and checks the
+//     extracted plans against the plan-IR invariants;
+//   - executes a vanilla run, forced uniform hash/range configurations at
+//     the extremes of the search grid, and the full CHOPPER pipeline
+//     (profile → optimize → tuned co-partitioned run), with the plan-IR
+//     verifier (internal/plan/verify: acyclicity, shuffle boundaries at
+//     wide dependencies, co-partitioned join inputs, partition counts
+//     within the executors' memory budget, partitioner/key-type
+//     compatibility) observing every job's stage graph, and the
+//     configuration verifier (core.VerifySchemes: known signatures, valid
+//     schemes, counts inside the searched grid, join groups agreeing on
+//     one scheme, fixed stages only retuned through inserted repartition
+//     phases) checking every optimizer emission; and
+//   - diffs the static stage graphs (plan drift) and key shapes (key-fact
+//     drift) against the plans and lineage the vanilla run submits, job
+//     for job.
+//
+// Findings carry the rule plan, config, drift or keyfacts. Drift means
+// either the workload's control flow has outgrown the symbolic evaluator's
+// model, or a change to the rdd/dag layers silently altered the stage or
+// key structure the paper's figures and the optimizer are keyed to.
 //
 // Usage:
 //
@@ -21,9 +34,9 @@
 // Datasets are shrunk by -shrink (default 6) so the sweep stays fast;
 // logical sizes and the cost model are unchanged, so the plans exercised
 // are the real ones. The -json flag emits findings on stdout in the
-// unified wire schema shared by the gate CLIs (tool/rule/pos/msg/
+// unified wire schema shared with chopperlint (tool/rule/pos/msg/
 // severity); human-readable lines move to stderr. Exit status: 0 clean,
-// 1 violations, 2 run error.
+// 1 findings, 2 run error.
 package main
 
 import (
@@ -46,10 +59,9 @@ func main() {
 	workload := flag.String("workload", "all", "workload to verify (all, kmeans, pca, sql, pagerank)")
 	shrink := flag.Int("shrink", 6, "dataset shrink factor for fast runs (1 = paper size)")
 	verbose := flag.Bool("v", false, "list every run, not just violations")
-	static := flag.Bool("static", false, "additionally extract each workload's plans statically (internal/plan/extract), verify them, and diff them against the vanilla run's submitted plans")
 	jsonOut := flag.Bool("json", false, "emit findings on stdout in the unified wire-JSON schema")
 	flag.Parse()
-	os.Exit(run(*workload, *shrink, *verbose, *static, *jsonOut))
+	os.Exit(run(*workload, *shrink, *verbose, *jsonOut))
 }
 
 // reporter accumulates findings in the unified wire schema while printing
@@ -71,7 +83,7 @@ func (r *reporter) finding(rule, pos, msg string) {
 	_, _ = fmt.Fprintf(out, "%s: %s: %s\n", pos, rule, msg)
 }
 
-func run(name string, shrink int, verbose, static, jsonOut bool) int {
+func run(name string, shrink int, verbose, jsonOut bool) int {
 	var targets []workloads.Workload
 	if name == "all" {
 		targets = workloads.AllWithExtensions()
@@ -83,12 +95,9 @@ func run(name string, shrink int, verbose, static, jsonOut bool) int {
 		targets = []workloads.Workload{w}
 	}
 
-	var ex *extract.Extractor
-	if static {
-		var err error
-		if ex, err = extract.New("."); err != nil {
-			return fail(err)
-		}
+	ex, err := extract.New(".")
+	if err != nil {
+		return fail(err)
 	}
 
 	rep := &reporter{json: jsonOut}
@@ -104,20 +113,19 @@ func run(name string, shrink int, verbose, static, jsonOut bool) int {
 		}
 	}
 	if len(rep.wire) > 0 {
-		fmt.Fprintf(os.Stderr, "chopperverify: %d violation(s)\n", len(rep.wire))
+		fmt.Fprintf(os.Stderr, "chopperverify: %d finding(s)\n", len(rep.wire))
 		return 1
 	}
 	if verbose {
-		fmt.Fprintln(os.Stderr, "chopperverify: all plans and configurations verified clean")
+		fmt.Fprintln(os.Stderr, "chopperverify: all plans, configurations and static models verified clean")
 	}
 	return 0
 }
 
-// verifyWorkload runs one workload under every configuration class with the
-// verifiers observing, and prints each violation. When ex is non-nil it
-// additionally extracts the workload's plans statically, verifies them, and
-// diffs them against the vanilla run's submitted plans (the chopperplan
-// drift gate, inline). Returns the count.
+// verifyWorkload extracts one workload's plans and key facts statically
+// and verifies the plans, then runs the workload under every configuration
+// class with the verifiers observing, diffs the static models against the
+// vanilla run, and reports every finding through r.
 func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r *reporter) error {
 	planObserver := func(label string) func([]verify.Violation) {
 		return func(vs []verify.Violation) {
@@ -140,19 +148,31 @@ func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r
 	}
 	bytes := w.DefaultInputBytes()
 
-	// Static extraction (-static): reconstruct the plans without running,
-	// verify them, and capture the vanilla run below for the drift diff.
-	var rep *extract.Report
-	var cap extract.Capture
-	if ex != nil {
-		step("static-extract")
-		var err error
-		if rep, err = ex.Extract(w, bytes, experiments.DefaultParallelism); err != nil {
-			return err
+	// Static extraction: reconstruct the plans and key facts without
+	// running, verify the plans, and capture the vanilla run below for the
+	// drift diffs.
+	step("static-extract")
+	rep, err := ex.Extract(w, bytes, experiments.DefaultParallelism)
+	if err != nil {
+		return err
+	}
+	if verbose {
+		for i, j := range rep.Jobs {
+			fmt.Fprintf(os.Stderr, "  job %d (%s):\n", i, j.Action)
+			for _, sh := range extract.Shape(j.Plan, j.Topo) {
+				fmt.Fprintf(os.Stderr, "    %s\n", sh)
+			}
 		}
-		for _, v := range rep.Verify(verify.DefaultLimits(cluster.PaperCluster())) {
-			r.finding("plan", w.Name()+"/static", v.String())
-		}
+	}
+	for _, v := range rep.Verify(verify.DefaultLimits(cluster.PaperCluster())) {
+		r.finding("plan", w.Name()+"/static", v.String())
+	}
+	var plans extract.Capture
+	var keys extract.KeyCapture
+	planHook, keyHook := plans.Hook(), keys.Hook()
+	onPlan := func(result *dag.Stage, topo []*dag.Stage) {
+		planHook(result, topo)
+		keyHook(result, topo)
 	}
 
 	// Vanilla plus the extremes of the search grid: the widest partition
@@ -169,17 +189,18 @@ func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r
 	for _, f := range forced {
 		step(f.label)
 		opt := experiments.Options{Configurator: f.cfg, OnPlanViolations: planObserver(f.label)}
-		if rep != nil && f.cfg == nil {
-			opt.OnPlan = cap.Hook()
+		if f.cfg == nil {
+			opt.OnPlan = onPlan
 		}
 		if _, _, err := experiments.RunWorkload(w, bytes, opt); err != nil {
 			return err
 		}
 	}
-	if rep != nil {
-		for _, d := range extract.Drift(rep, cap.Jobs()) {
-			r.finding("drift", w.Name()+"/static", d)
-		}
+	for _, d := range extract.Drift(rep, plans.Jobs()) {
+		r.finding("drift", w.Name()+"/static", d)
+	}
+	for _, d := range extract.KeyDrift(rep, keys.Jobs()) {
+		r.finding("keyfacts", w.Name()+"/static", d)
 	}
 
 	// The full pipeline: profiling sweep, optimization (configuration

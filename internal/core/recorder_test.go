@@ -8,7 +8,7 @@ import (
 )
 
 // TestObservationsDeepCopiesParentSigs pins the copy-on-read contract that
-// chopperguard's copyescape rule enforces: the observations handed out by
+// the copyescape lint rule enforces: the observations handed out by
 // the recorder must not share backing arrays with its guarded map — a
 // caller mutating a returned ParentSigs slice must not corrupt what the
 // next caller sees.

@@ -8,7 +8,7 @@ import (
 )
 
 // SeedHint is one statically inferred scheme hint for a stage, produced by
-// the chopperkey analysis (internal/plan/extract) without ever running or
+// the static key-flow analysis (internal/plan/extract) without ever running or
 // profiling the workload: the partitioner family the stage will use, whether
 // its partitioning is user-pinned, which co-partition group it belongs to,
 // and — when the key expression is provably constant or enum-small — an

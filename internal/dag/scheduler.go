@@ -96,7 +96,7 @@ type Scheduler struct {
 	// sees it: configuration applied, cached stages not yet pruned, IDs not
 	// yet assigned. That makes the observed structure directly comparable
 	// to a cold dag.BuildPlan over the same lineage (only signatures differ
-	// with cache warmth). cmd/chopperplan's drift gate hangs off this.
+	// with cache warmth). chopperverify's drift gates hang off this.
 	OnPlan func(result *Stage, topo []*Stage)
 
 	// Verify, when non-nil, inspects every job's stage graph right after it

@@ -27,7 +27,7 @@ func (r ColdStartRow) Speedup() float64 {
 	return r.DefaultTime / r.SeededTime
 }
 
-// ColdStartSeeding measures the chopperkey cold-start path on every named
+// ColdStartSeeding measures the static-key-fact cold-start path on every named
 // workload: extract KeyFacts statically, derive seed hints, build a seeded
 // configuration through the optimizer (no DB, no profiles), and compare the
 // first run against the default plan. Workloads whose hints carry no

@@ -35,7 +35,7 @@ type Options struct {
 
 	// OnPlan, when set, observes every job's stage plan before verification
 	// and cache pruning (dag.Scheduler.OnPlan). The static plan-drift gate
-	// (cmd/chopperplan) captures runtime plans through this.
+	// (cmd/chopperverify) captures runtime plans through this.
 	OnPlan func(result *dag.Stage, topo []*dag.Stage)
 
 	// OnPlanViolations, when set, observes plan-verifier findings instead of

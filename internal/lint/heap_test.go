@@ -12,62 +12,30 @@ import (
 	"chopper/internal/lint"
 )
 
-// TestHeapRepoIsClean runs the chopperheap rule family over the real tree
-// under a whole-program load: the gate cmd/chopperheap enforces in CI,
-// kept as a test so `go test ./...` alone catches a new hot-path
-// allocation site, a boxed F64 fallback, or an escaping shuffle slice.
-func TestHeapRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := prog.Loader.Match([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range lint.Run(pkg, lint.Heap()) {
-			t.Errorf("%s", d)
-		}
-	}
-}
-
 // TestHeapBudgetMatchesSweep pins the committed heapbudget.json to a fresh
-// sweep: the file must be byte-identical to what `chopperheap
+// sweep: the file must be byte-identical to what `chopperlint
 // -write-budget` would emit, so a hot-path allocation change cannot land
 // without regenerating (and thereby re-auditing) the budget.
 func TestHeapBudgetMatchesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := repoProgram(t)
 	want, err := lint.HeapBudgetJSON(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(root, lint.HeapBudgetFile))
+	got, err := os.ReadFile(filepath.Join(prog.Loader.ModRoot, lint.HeapBudgetFile))
 	if err != nil {
-		t.Fatalf("committed budget missing (run `go run ./cmd/chopperheap -write-budget`): %v", err)
+		t.Fatalf("committed budget missing (run `go run ./cmd/chopperlint -write-budget`): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s is out of date with the tree; run `go run ./cmd/chopperheap -write-budget`\n--- committed ---\n%s--- fresh sweep ---\n%s", lint.HeapBudgetFile, got, want)
+		t.Errorf("%s is out of date with the tree; run `go run ./cmd/chopperlint -write-budget`\n--- committed ---\n%s--- fresh sweep ---\n%s", lint.HeapBudgetFile, got, want)
 	}
 }
 
 // TestStaleHeapSuppression pins the satellite requirement that the
-// suppression audit covers all four chopperheap rules: a lint:ignore
+// suppression audit covers all four heap rules: a lint:ignore
 // naming one of them that matches no finding must be reported as stale.
 func TestStaleHeapSuppression(t *testing.T) {
 	diags := plantModule(t, "internal/exec", `package exec
@@ -97,7 +65,7 @@ func d() int { return 4 }
 }
 
 // TestPlantedHeapViolations is the deliberate-break check from the issue,
-// backing the ci.sh chopperheap gate: a boxed hook call planted inside a
+// backing the ci.sh chopperlint gate: a boxed hook call planted inside a
 // typed F64 region fires boxf64, and a cache-derived slice planted into a
 // heap-lived field fires genlife, both with file:line positions.
 func TestPlantedHeapViolations(t *testing.T) {
@@ -238,45 +206,25 @@ func TestHeapBudgetGate(t *testing.T) {
 }
 
 // TestProgramConcurrentRuleFamilies runs the guard, key, and heap families
-// concurrently against one shared lint.Program and checks the combined
-// output is byte-identical to a sequential run on a fresh Program: the
-// Fact cache must be safe under concurrent whole-program fact computation
-// (this runs under -race in CI).
+// concurrently against one freshly loaded lint.Program and checks each
+// family's output is byte-identical to a sequential run on the shared
+// test Program: the Fact cache must be safe under concurrent
+// whole-program fact computation (this runs under -race in CI).
 func TestProgramConcurrentRuleFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module repeatedly")
 	}
-	root := moduleRoot(t)
 	families := map[string][]*lint.Analyzer{
 		"guard": lint.Guard(),
 		"key":   lint.Key(),
 		"heap":  lint.Heap(),
 	}
 	runFamily := func(prog *lint.Program, analyzers []*lint.Analyzer) (string, error) {
-		dirs, err := prog.Loader.Match([]string{"./..."})
-		if err != nil {
-			return "", err
-		}
-		var diags []lint.Diagnostic
-		for _, dir := range dirs {
-			pkg, err := prog.Package(dir)
-			if err != nil {
-				return "", err
-			}
-			diags = append(diags, lint.Run(pkg, analyzers)...)
-		}
-		diags = lint.SortDiagnostics(diags)
-		var b strings.Builder
-		if err := lint.WriteText(&b, diags); err != nil {
-			return "", err
-		}
-		return b.String(), nil
+		diags, err := sweep(prog, analyzers)
+		return text(diags), err
 	}
 
-	seqProg, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqProg := repoProgram(t)
 	sequential := map[string]string{}
 	for name, fam := range families {
 		out, err := runFamily(seqProg, fam)
@@ -286,7 +234,7 @@ func TestProgramConcurrentRuleFamilies(t *testing.T) {
 		sequential[name] = out
 	}
 
-	conProg, err := lint.NewProgram(root)
+	conProg, err := lint.NewProgram(seqProg.Loader.ModRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +309,7 @@ func heapFindings(t *testing.T, src string) (string, bool) {
 	return b.String(), true
 }
 
-// FuzzHeapFacts throws arbitrary Go source at the chopperheap pipeline —
+// FuzzHeapFacts throws arbitrary Go source at the heap-rule pipeline —
 // call-graph construction, hot-reachability, allocation-site and boxing
 // enumeration, the F64 region scan, the lifetime taint fixpoint, and the
 // prealloc shape match — and asserts no panics and byte-identical

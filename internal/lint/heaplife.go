@@ -1,4 +1,4 @@
-// heaplife.go implements genlife, the chopperheap buffer-lifetime rule
+// heaplife.go implements genlife, the Heap-family buffer-lifetime rule
 // for the generation-invalidated shuffle caches. Slices handed out from
 // shuffle.Manager cached state (ReduceInput block payloads,
 // ReduceNodeBytes results, snapshot-under-lock entries) are only valid

@@ -9,36 +9,9 @@ import (
 	"chopper/internal/lint"
 )
 
-// TestKeyRepoIsClean runs the chopperkey rule family over the real tree:
-// the gate cmd/chopperkey enforces in CI, kept as a test so `go test ./...`
-// alone catches regressions.
-func TestKeyRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := prog.Loader.Match([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range lint.Run(pkg, lint.Key()) {
-			t.Errorf("%s", d)
-		}
-	}
-}
-
 // TestStaleKeySuppression pins the satellite requirement that the
-// suppression audit covers the chopperkey rules: a lint:ignore naming a
-// chopperkey rule that matches no finding must be reported as stale.
+// suppression audit covers the key rules: a lint:ignore naming a key rule
+// that matches no finding must be reported as stale.
 func TestStaleKeySuppression(t *testing.T) {
 	diags := plantModule(t, "internal/workloads", `package workloads
 
@@ -56,7 +29,7 @@ func Nothing() int { return 4 }
 
 // TestPlantedKeyViolation is the deliberate-break check from the issue:
 // a constant-key shuffle planted in internal/workloads must be reported
-// with a file:line position, proving the ci.sh chopperkey gate would
+// with a file:line position, proving the ci.sh chopperlint gate would
 // catch the regression.
 func TestPlantedKeyViolation(t *testing.T) {
 	src := `package workloads
@@ -140,7 +113,7 @@ func (r *RDD) CountByKey() (map[any]int64, error)                        { retur
 func (r *RDD) Collect() ([]Row, error)                                   { return nil, nil }
 `
 
-// FuzzKeyFacts throws arbitrary Go source at the chopperkey pipeline (key
+// FuzzKeyFacts throws arbitrary Go source at the key-rule pipeline (key
 // expression scanning, the flow-sensitive fixpoint, and all three rules)
 // and asserts the same two properties as FuzzLockContract: no panics, and
 // byte-identical findings across two independent loads.

@@ -31,8 +31,8 @@
 // The last three rules run on the SSA-lite IR (internal/lint/ssa): basic
 // blocks with edge-labeled branch conditions and a lattice dataflow engine.
 //
-// A second family, chopperguard (Guard), verifies the concurrency and
-// durability contracts of the service layer on the same IR:
+// The Guard family verifies the concurrency and durability contracts of
+// the service layer on the same IR:
 //
 //	lockcontract — guarded fields (inferred from write-under-lock evidence)
 //	               must be accessed with their mutex held, write mode for
@@ -44,6 +44,12 @@
 //	               the request was acknowledged
 //	tocou        — a decision from a read-locked load must be re-checked
 //	               under the write lock before acting (TOCTOU)
+//
+// The Key family (keydrift, shufflewaste, constkey; keyflow.go) tracks key
+// provenance and co-partitioning through RDD pipelines, and the Heap family
+// (hotalloc, boxf64, genlife, prealloc; heap.go) gates allocation sites and
+// shuffle-buffer lifetimes on the wave hot path. All() holds every family;
+// cmd/chopperlint runs it in one pass over one shared Program.
 //
 // Findings can be suppressed with a trailing or preceding comment of the
 // form `//lint:ignore <rule> <reason>`; the reason is mandatory, and the
@@ -134,50 +140,39 @@ type Analyzer struct {
 	Run  func(f *File) []Diagnostic
 }
 
-// All returns every analyzer in the suite, in reporting order.
+// All returns every analyzer in the suite, in reporting order: the base
+// determinism/correctness rules, then the Guard, Key and Heap families.
+// Each rule scopes its own diagnostics to the packages it governs, so one
+// pass of All() over ./... is the whole static gate.
 func All() []*Analyzer {
-	return []*Analyzer{WallTime, GlobalRand, MapOrder, DroppedErr, ClosureCapture, SharedEscape, LockOrder, NilFlow, CtxLeak}
+	base := []*Analyzer{WallTime, GlobalRand, MapOrder, DroppedErr, ClosureCapture, SharedEscape, LockOrder, NilFlow, CtxLeak}
+	out := append(base, Guard()...)
+	out = append(out, Key()...)
+	return append(out, Heap()...)
 }
 
-// Guard returns the chopperguard rule family: lock-contract and
-// durability-protocol verification of the core/service packages. Kept out
-// of All() — these rules are scoped to their contract-bearing packages and
-// ship as their own CLI (cmd/chopperguard).
+// Guard returns the lock-contract and durability-protocol rule family of
+// the core/service packages (see guard.go).
 func Guard() []*Analyzer {
 	return []*Analyzer{LockContract, CopyEscape, JournalOrder, Tocou}
 }
 
-// Key returns the chopperkey rule family: flow-sensitive key-provenance
-// and co-partitioning analysis of RDD pipelines (see keyflow.go). Shipped
-// as its own CLI (cmd/chopperkey) alongside the symbolic KeyFacts tracker
-// in internal/plan/extract.
+// Key returns the flow-sensitive key-provenance and co-partitioning rule
+// family of RDD pipelines (see keyflow.go).
 func Key() []*Analyzer {
 	return []*Analyzer{KeyDriftRule, ShuffleWaste, ConstKey}
 }
 
-// Heap returns the chopperheap rule family: static allocation-site and
-// buffer-lifetime analysis of the wave hot path (see heap.go, heapbox.go,
-// heaplife.go, heapprealloc.go). Shipped as its own CLI (cmd/chopperheap)
-// with the committed per-function budget in heapbudget.json.
+// Heap returns the allocation-site and buffer-lifetime rule family of the
+// wave hot path (see heap.go), gated by the committed heapbudget.json.
 func Heap() []*Analyzer {
 	return []*Analyzer{HotAlloc, BoxF64, GenLife, PreAlloc}
 }
 
-// ByName resolves analyzer names (the -rules flag) to analyzers, across
-// the chopperlint suite and the chopperguard, chopperkey, and chopperheap
-// families.
+// ByName resolves analyzer names (the -rules flag) to analyzers of All().
 func ByName(names []string) ([]*Analyzer, error) {
 	byName := map[string]*Analyzer{}
 	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	for _, a := range Guard() {
-		byName[a.Name] = a
-	}
-	for _, a := range Key() {
-		byName[a.Name] = a
-	}
-	for _, a := range Heap() {
 		byName[a.Name] = a
 	}
 	var out []*Analyzer
@@ -332,19 +327,8 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 	return nil
 }
 
-// WriteJSON renders diagnostics as an indented JSON array (the -json mode).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
-}
-
 // WireDiagnostic is the unified machine-readable finding schema shared by
-// every gate CLI (chopperlint, chopperguard, chopperverify, chopperplan);
-// ci.sh merges the per-tool arrays into one lint.json artifact.
+// the two gate CLIs, chopperlint and chopperverify.
 type WireDiagnostic struct {
 	Tool     string `json:"tool"`
 	Rule     string `json:"rule"`

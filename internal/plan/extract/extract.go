@@ -9,13 +9,12 @@
 // dag.BuildPlan over it yields stage graphs isomorphic to the ones the
 // scheduler builds at run time.
 //
-// The point of the exercise is the drift gate (cmd/chopperplan,
-// chopperverify -static): the statically extracted plans are checked
-// against internal/plan/verify's invariants AND diffed against the plans a
-// real run submits. A divergence ("plan drift") means the workload's
-// control flow has grown beyond what the evaluator models — or that a code
-// change silently altered the stage structure the paper's figures are
-// keyed to — and fails CI either way.
+// The point of the exercise is the drift gate (cmd/chopperverify): the
+// statically extracted plans are checked against internal/plan/verify's
+// invariants AND diffed against the plans a real run submits. A divergence
+// ("plan drift") means the workload's control flow has grown beyond what
+// the evaluator models — or that a code change silently altered the stage
+// structure the paper's figures are keyed to — and fails CI either way.
 package extract
 
 import (

@@ -10,7 +10,7 @@ import (
 	"chopper/internal/rdd"
 )
 
-// This file is the chopperkey side of the symbolic evaluator: while the
+// This file is the key-fact side of the symbolic evaluator: while the
 // interpreter replays a workload's Run method against the real rdd API, the
 // keyTracker maintains an INDEPENDENT, method-name-driven model of every
 // key-relevant fact — which RDDs are pair-keyed, where their key expression

@@ -1,4 +1,4 @@
-// Package verify is the plan-IR invariant checker of chopperverify: a
+// Package verify is the plan-IR invariant checker: a
 // static analysis over the stage graphs the DAG scheduler builds from RDD
 // lineage. CHOPPER's optimizer rewrites partitioners, counts and even the
 // graph itself (repartition insertion) between jobs; each rewrite must
