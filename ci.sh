@@ -2,7 +2,7 @@
 # ci.sh — the canonical verify pipeline for this repository.
 #
 # Tier-1 (ROADMAP.md) is `go build ./... && go test ./...`; this script is
-# the full gate: vet, the static-analysis driver, the test suite (with
+# the full gate: vet, gofmt, the static-analysis driver, the test suite (with
 # shuffled execution order, so inter-test state leaks cannot hide), the race
 # detector over every internal package, the benchmark-regression harness,
 # the chopperd and chopperfleet smoke gates, short native-fuzz runs, and the
@@ -68,6 +68,15 @@ go build -o bin/ ./cmd/chopperlint ./cmd/chopperverify
 
 gate "vet"
 go vet ./...
+
+gate "gofmt"
+# Every Go file is gofmt-clean; list the offenders and fail otherwise.
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+    echo "ci.sh: gofmt -l . lists files that are not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 gate "chopperlint"
 # All 20 rules in one pass over one shared program load. The wire-JSON

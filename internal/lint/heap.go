@@ -64,7 +64,8 @@ type heapRoot struct {
 }
 
 // heapRoots are the declared hot-path roots: the per-wave compute loop,
-// the shuffle/combine kernels, the per-pair cost model, and every
+// the shuffle/combine kernels, the per-pair cost model, the Manager write
+// path (per-reduce locality totals and the block index), and every
 // Manager read-path accessor the reduce side hits per task.
 var heapRoots = []heapRoot{
 	{"chopper/internal/exec", "Engine", "computePass"},
@@ -73,11 +74,10 @@ var heapRoots = []heapRoot{
 	{"chopper/internal/rdd", "", "MergeReduceBlocks"},
 	{"chopper/internal/rdd", "", "MergeReduceCol"},
 	{"chopper/internal/rdd", "", "PairBytes"},
+	{"chopper/internal/shuffle", "Manager", "PutMapOutput"},
 	{"chopper/internal/shuffle", "Manager", "ReduceInput"},
 	{"chopper/internal/shuffle", "Manager", "ReduceBytes"},
 	{"chopper/internal/shuffle", "Manager", "ReduceNodeBytes"},
-	{"chopper/internal/shuffle", "Manager", "ReduceBytesByNode"},
-	{"chopper/internal/shuffle", "Manager", "BestReduceNode"},
 }
 
 // Allocation-site kinds, the budget's per-function breakdown keys.

@@ -1,7 +1,7 @@
 // heaplife.go implements genlife, the Heap-family buffer-lifetime rule
 // for the generation-invalidated shuffle caches. Slices handed out from
-// shuffle.Manager cached state (ReduceInput block payloads,
-// ReduceNodeBytes results, snapshot-under-lock entries) are only valid
+// shuffle.Manager state (ReduceInput block views, ReduceNodeBytes
+// results, the per-map output table and the block index) are only valid
 // until the next generation bump; retaining one in a heap-lived structure
 // — a struct field, a channel, a goroutine-captured closure — is a stale
 // read today and becomes use-after-free semantics once ROADMAP item 4
@@ -37,18 +37,15 @@ var GenLife = &Analyzer{
 // lifeSourceMethods are the Manager read-path accessors whose results
 // alias cached, generation-invalidated memory.
 var lifeSourceMethods = map[string]bool{
-	"ReduceInput":       true,
-	"ReduceNodeBytes":   true,
-	"ReduceBytesByNode": true,
-	"snapshotOutputs":   true,
+	"ReduceInput":     true,
+	"ReduceNodeBytes": true,
 }
 
 // lifeSourceFields are the cached-state fields themselves (reachable only
 // inside the shuffle package, where the cache is maintained).
 var lifeSourceFields = map[string]bool{
-	"outputs":   true,
-	"nodeCache": true,
-	"blocks":    true,
+	"outputs": true,
+	"blocks":  true,
 }
 
 func runGenLife(f *File) []Diagnostic {

@@ -128,6 +128,10 @@ func (a *ColBuckets) Kind() ColKind { return a.kind }
 // NumBuckets reports the reduce-partition count the arena was built for.
 func (a *ColBuckets) NumBuckets() int { return len(a.starts) - 1 }
 
+// BucketLen reports the number of pairs in bucket b without building its
+// view.
+func (a *ColBuckets) BucketLen(b int) int { return int(a.starts[b+1] - a.starts[b]) }
+
 // Bucket returns the zero-copy view of reduce bucket b. The view aliases
 // the arena (three-index slices, so appends cannot bleed across buckets)
 // and is valid only while the owning shuffle generation is live.

@@ -57,7 +57,7 @@ func TestRetireExceptLifecycle(t *testing.T) {
 	if !m.Complete(2) {
 		t.Fatalf("live shuffle lost its outputs")
 	}
-	if got := rdd.MergeReduceCol(m.ReduceInput(2, 0).Blocks(), agg); len(got) == 0 {
+	if got := rdd.MergeReduceCol(viewBlocks(m.ReduceInput(2, 0)), agg); len(got) == 0 {
 		t.Fatalf("live shuffle reduce input empty")
 	}
 
@@ -73,8 +73,6 @@ func TestRetireExceptLifecycle(t *testing.T) {
 	}
 	mustPanic("ReduceInput", func() { m.ReduceInput(1, 0) })
 	mustPanic("ReduceNodeBytes", func() { m.ReduceNodeBytes(1, 0) })
-	mustPanic("ReduceBytesByNode", func() { m.ReduceBytesByNode(1, 0) })
-	mustPanic("TotalWriteBytes", func() { m.TotalWriteBytes(1) })
 	mustPanic("PutMapOutput", func() { m.PutMapOutput(1, 0, "A", colBlocksFor(t, 0, 50, 3, agg)) })
 
 	// A stage retune re-registers the id and starts a fresh generation.
@@ -171,7 +169,7 @@ func TestConcurrentGenerations(t *testing.T) {
 	wg.Wait()
 
 	// Retain a pre-retirement view and its merged value.
-	view := m.ReduceInput(1, 0).Blocks()
+	view := viewBlocks(m.ReduceInput(1, 0))
 	want := rdd.MergeReduceCol(view, agg)
 
 	// Generation 2: writers, locality readers, and the retirement of
@@ -190,7 +188,7 @@ func TestConcurrentGenerations(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				m.ReduceNodeBytes(2, r)
-				m.ReduceBytesByNode(2, r)
+				m.ReduceBytes(2, r, "N0")
 				m.Complete(2)
 			}
 		}(r)
@@ -208,7 +206,7 @@ func TestConcurrentGenerations(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = rdd.MergeReduceCol(m.ReduceInput(2, i%reduces).Blocks(), agg)
+			results[i] = rdd.MergeReduceCol(viewBlocks(m.ReduceInput(2, i%reduces)), agg)
 		}(i)
 	}
 	wg.Wait()

@@ -1,20 +1,26 @@
 // Package shuffle implements the engine's shuffle subsystem: a map-output
-// tracker holding the blocks each map task wrote per reduce partition,
-// byte accounting (payload plus per-block overhead), and the locality
-// queries the co-partition-aware scheduler uses to place reduce tasks where
-// their input lives.
+// tracker holding each map task's shuffle write, byte accounting (payload
+// plus per-block overhead), and the per-node locality totals the scheduler
+// uses to place reduce tasks where their input lives.
 //
 // Every (map task x reduce partition) pair produces one block; each block
 // costs a fixed overhead (headers, index entries, framing) on top of its
 // payload. This is why total shuffle bytes grow with the partition count
 // even at constant payload — the effect behind the paper's Fig. 4.
 //
+// At high partition counts most blocks are empty, so the read side never
+// walks maps x reduces. Each map output's block sizes are folded into
+// dense per-node, per-reduce byte totals when it is written, and the
+// payload table is then dropped. When the last map output of a
+// registration lands, a per-reduce index of the structurally non-empty
+// blocks is built once, in map-task order, and replaces the output table.
+// A locality query is a read of one column of the totals, and a reduce
+// input view walks only the blocks that hold data.
+//
 // Concurrency: the Manager's own lock only guards the shuffle-id table;
 // each shuffle carries its own mutex, so tasks of different shuffles never
-// contend. Locality queries (ReduceNodeBytes and friends) snapshot the
-// output table under the shuffle's lock and aggregate outside it — map
-// outputs are immutable once stored, so the snapshot stays valid — and the
-// per-reduce aggregate is cached until the next map output invalidates it.
+// contend. Reads hold the shuffle's lock only to check the lifecycle and
+// pick up the totals or the index; the index is immutable once built.
 package shuffle
 
 import (
@@ -28,10 +34,11 @@ import (
 // MapOutput is the complete shuffle write of one map task: either the
 // columnar arena every reduce bucket slices out of (Cols) or the boxed
 // fallback buckets (Boxed), plus the per-reduce logical payload sizes.
-// Storing the arena itself — not a materialized per-bucket block — keeps
-// the manager's footprint at O(maps + reduces) headers per shuffle
-// instead of O(maps x reduces): with wide shuffles the ~150-byte view
-// structs would otherwise dwarf the data they point at.
+// The manager keeps the arena itself, not a materialized per-bucket
+// block, folds Payloads into its node totals without retaining them, and
+// keeps only the non-empty buckets of a boxed write once the registration
+// completes, so its own metadata stays O(maps + reduces x nodes +
+// non-empty blocks) per shuffle instead of O(maps x reduces).
 type MapOutput struct {
 	// Cols is the map task's columnar arena (nil when the task fell back
 	// to boxed pairs). Bucket r of the arena is reduce partition r's input.
@@ -51,45 +58,110 @@ type NodeBytes struct {
 	Bytes int64
 }
 
+// mapOutput is what the manager holds of one map task's write until the
+// registration completes: its arena or its boxed buckets.
 type mapOutput struct {
-	node string
-	out  MapOutput
+	cols  *rdd.ColBuckets
+	boxed [][]rdd.Pair
 }
 
-// blockInto writes reduce bucket r's zero-copy view into dst, fully
-// overwriting it: the arena bucket view for columnar outputs, or a
-// ColNone wrapper over the boxed bucket.
-func (mo *mapOutput) blockInto(r int, dst *rdd.ColBlock) {
-	if mo.out.Cols != nil {
-		mo.out.Cols.BucketInto(r, dst)
-		return
+func (mo *mapOutput) written() bool { return mo.cols != nil || mo.boxed != nil }
+
+// bucketLen reports how many pairs reduce bucket r holds.
+func (mo *mapOutput) bucketLen(r int) int {
+	if mo.cols != nil {
+		return mo.cols.BucketLen(r)
 	}
-	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: mo.out.Boxed[r]}
+	return len(mo.boxed[r])
 }
 
-type reduceNodeCache struct {
-	gen   uint64 // state generation the entry was computed at
-	valid bool
-	nodes []NodeBytes
-	// byNode is the same profile keyed by node, built alongside nodes so
-	// ReduceBytesByNode serves from the cache instead of rebuilding a map
-	// per call. Callers must not mutate it.
-	byNode map[string]int64
+// blockRef is one non-empty block of the read index: the map task's arena
+// (the reduce partition picks the bucket) or its boxed bucket itself.
+type blockRef struct {
+	cols  *rdd.ColBuckets
+	pairs []rdd.Pair
 }
 
 type state struct {
 	mu        sync.Mutex
 	numMaps   int
 	numReduce int
-	outputs   []*mapOutput
+	// outputs holds the map tasks' writes, by map task, until the last
+	// one lands; the index then replaces it, so a boxed task's per-reduce
+	// bucket table is not retained.
+	outputs   []mapOutput
 	completed int
-	// gen counts map-output mutations; nodeCache entries are valid only
-	// while their gen matches.
-	gen       uint64
-	nodeCache []reduceNodeCache
+	// nodes are the nodes map outputs were written on, sorted by name;
+	// totals[i][r] is reduce r's input bytes (payload + overhead) on
+	// nodes[i].
+	nodes  []string
+	totals [][]int64
+	// blockStarts and blocks index the non-empty blocks once every map
+	// task has written: reduce r reads blocks[blockStarts[r]:blockStarts[r+1]],
+	// in map-task order. Until then blockStarts[r+1] counts reduce r's
+	// non-empty blocks so far, and blocks is nil.
+	blockStarts []int32
+	blocks      []blockRef
 	// retired marks a generation whose arenas have been released; any
-	// read of its outputs is a lifecycle bug and panics loudly.
+	// access to its outputs is a lifecycle bug and panics loudly.
 	retired bool
+}
+
+// mustLive panics when the shuffle's generation has been retired. The
+// caller holds st.mu.
+func (st *state) mustLive(shuffleID int, op string) {
+	if st.retired {
+		panic(fmt.Sprintf("shuffle %d: %s after retirement", shuffleID, op))
+	}
+}
+
+// nodeTotals returns node's row of per-reduce byte totals, inserting a
+// zeroed row in name order on the node's first write. The caller holds
+// st.mu.
+func (st *state) nodeTotals(node string) []int64 {
+	i := sort.SearchStrings(st.nodes, node)
+	if i < len(st.nodes) && st.nodes[i] == node {
+		return st.totals[i]
+	}
+	row := make([]int64, st.numReduce)
+	st.nodes = append(st.nodes, "")
+	copy(st.nodes[i+1:], st.nodes[i:])
+	st.nodes[i] = node
+	st.totals = append(st.totals, nil)
+	copy(st.totals[i+1:], st.totals[i:])
+	st.totals[i] = row
+	return row
+}
+
+// buildIndex turns the per-reduce counts of non-empty blocks into the
+// index: per reduce partition, the blocks that hold at least one pair, in
+// map-task order. Emptiness is structural (pair counts), never inferred
+// from payload sizes. The output table is dropped once indexed. The
+// caller holds st.mu and every map task has written.
+func (st *state) buildIndex() {
+	starts := st.blockStarts
+	for r := 0; r < st.numReduce; r++ {
+		starts[r+1] += starts[r]
+	}
+	blocks := make([]blockRef, starts[st.numReduce])
+	next := make([]int32, st.numReduce)
+	copy(next, starts)
+	for i := range st.outputs {
+		mo := &st.outputs[i]
+		for r := 0; r < st.numReduce; r++ {
+			if mo.bucketLen(r) == 0 {
+				continue
+			}
+			if mo.cols != nil {
+				blocks[next[r]] = blockRef{cols: mo.cols}
+			} else {
+				blocks[next[r]] = blockRef{pairs: mo.boxed[r]}
+			}
+			next[r]++
+		}
+	}
+	st.blocks = blocks
+	st.outputs = nil
 }
 
 // Manager tracks all shuffles of a run.
@@ -132,27 +204,24 @@ func (m *Manager) Register(shuffleID, numMaps, numReduce int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.shuffles[shuffleID] = &state{
-		numMaps:   numMaps,
-		numReduce: numReduce,
-		outputs:   make([]*mapOutput, numMaps),
-		nodeCache: make([]reduceNodeCache, numReduce),
+		numMaps:     numMaps,
+		numReduce:   numReduce,
+		outputs:     make([]mapOutput, numMaps),
+		blockStarts: make([]int32, numReduce+1),
 	}
 }
 
-// PutMapOutput records the output map task mapTask wrote on node. It returns
-// the total bytes written (payload plus per-block overhead), the quantity
-// the metrics layer reports as shuffle write.
+// PutMapOutput records the output map task mapTask wrote on node, folding
+// its block sizes into node's locality totals. It returns the total bytes
+// written (payload plus per-block overhead), the quantity the metrics
+// layer reports as shuffle write. Each map task writes exactly once per
+// registration: a re-run map stage re-registers first, so a second write
+// is a lifecycle bug and panics.
 func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutput) int64 {
 	st := m.mustGet(shuffleID)
-	var bytes int64
-	for _, p := range out.Payloads {
-		bytes += m.blockBytes(p)
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.retired {
-		panic(fmt.Sprintf("shuffle %d: write after retirement", shuffleID))
-	}
+	st.mustLive(shuffleID, "write")
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
 	}
@@ -166,11 +235,25 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	} else if len(out.Boxed) != st.numReduce {
 		panic(fmt.Sprintf("shuffle %d: got %d boxed buckets, want %d", shuffleID, len(out.Boxed), st.numReduce))
 	}
-	if st.outputs[mapTask] == nil {
-		st.completed++
+	if st.completed == st.numMaps || st.outputs[mapTask].written() {
+		panic(fmt.Sprintf("shuffle %d: map task %d written twice in one registration", shuffleID, mapTask))
 	}
-	st.outputs[mapTask] = &mapOutput{node: node, out: out}
-	st.gen++
+	mo := mapOutput{cols: out.Cols, boxed: out.Boxed}
+	row := st.nodeTotals(node)
+	var bytes int64
+	for r, p := range out.Payloads {
+		b := m.blockBytes(p)
+		row[r] += b
+		bytes += b
+		if mo.bucketLen(r) > 0 {
+			st.blockStarts[r+1]++
+		}
+	}
+	st.outputs[mapTask] = mo
+	st.completed++
+	if st.completed == st.numMaps {
+		st.buildIndex()
+	}
 	return bytes
 }
 
@@ -182,68 +265,54 @@ func (m *Manager) Complete(shuffleID int) bool {
 	return st.completed == st.numMaps
 }
 
-// snapshotOutputs copies the output table header under the shuffle lock and
-// returns it with the generation it was taken at. The *mapOutput entries are
-// immutable once stored, so callers may read them without the lock. Reading
-// a retired generation panics: its arenas have been released and any view
-// handed out would be a use-after-free of the zero-copy contract.
-func (st *state) snapshotOutputs(shuffleID int) ([]*mapOutput, uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.retired {
-		panic(fmt.Sprintf("shuffle %d: read after retirement", shuffleID))
-	}
-	outs := make([]*mapOutput, len(st.outputs))
-	copy(outs, st.outputs)
-	return outs, st.gen
-}
-
-// ReduceView is one reduce partition's input: a window over every map
-// task's stored output, in map-task order (deterministic merge order
-// downstream). BlockInto streams zero-copy views that alias the map
-// tasks' arenas: they are valid until the shuffle generation retires and
-// must be deep-copied before being retained anywhere heap-lived (the
-// genlife rule enforces this contract statically).
+// ReduceView is one reduce partition's input: a window over the blocks
+// the map tasks wrote for that partition that are non-empty, in map-task
+// order (deterministic merge order downstream). Empty blocks are left out; they
+// contribute nothing to any merge. BlockInto streams zero-copy views that
+// alias the map tasks' arenas: they are valid until the shuffle
+// generation retires and must be deep-copied before being retained
+// anywhere heap-lived (the genlife rule enforces this contract
+// statically).
 type ReduceView struct {
-	outs   []*mapOutput
+	blocks []blockRef
 	reduce int
 }
 
-// Len reports the number of input blocks (one per map task).
-func (v ReduceView) Len() int { return len(v.outs) }
+// Len reports the number of non-empty input blocks.
+func (v ReduceView) Len() int { return len(v.blocks) }
 
 // BlockInto writes block i's zero-copy view into dst, fully overwriting
 // it — the exact get-callback shape rdd.MergeReduceColN consumes, so a
 // reduce merge reuses one stack scratch block across the whole input.
+// Columnar blocks are views of the arena bucket; boxed ones are ColNone
+// wrappers over the bucket's pairs.
 func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
-	v.outs[i].blockInto(v.reduce, dst)
-}
-
-// Blocks materializes the view as a slice of per-map blocks. The merge
-// path streams through BlockInto instead; this shape serves callers that
-// need random access to materialized views (tests, mostly).
-func (v ReduceView) Blocks() []*rdd.ColBlock {
-	out := make([]*rdd.ColBlock, len(v.outs))
-	for i := range out {
-		out[i] = new(rdd.ColBlock)
-		v.BlockInto(i, out[i])
+	b := &v.blocks[i]
+	if b.cols != nil {
+		b.cols.BucketInto(v.reduce, dst)
+		return
 	}
-	return out
+	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: b.pairs}
 }
 
-// ReduceInput returns the reduce partition's input view over all map
-// outputs. Reading before every map task finished, or after the
+// ReduceInput returns the reduce partition's input view over the
+// non-empty blocks. Reading before every map task finished, or after the
 // generation retired, panics.
 func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
 	st := m.mustGet(shuffleID)
 	checkReduce(st, shuffleID, reduce)
-	outs, _ := st.snapshotOutputs(shuffleID)
-	for i, mo := range outs {
-		if mo == nil {
-			panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, i))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.mustLive(shuffleID, "read")
+	if st.completed < st.numMaps {
+		for i := range st.outputs {
+			if !st.outputs[i].written() {
+				panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, i))
+			}
 		}
 	}
-	return ReduceView{outs: outs, reduce: reduce}
+	lo, hi := st.blockStarts[reduce], st.blockStarts[reduce+1]
+	return ReduceView{blocks: st.blocks[lo:hi:hi], reduce: reduce}
 }
 
 // ReduceBytes reports the bytes a reduce task on readerNode fetches,
@@ -260,116 +329,29 @@ func (m *Manager) ReduceBytes(shuffleID, reduce int, readerNode string) (local, 
 }
 
 // ReduceNodeBytes reports, for one reduce partition, how many input bytes
-// live on each map node — the locality signal for reduce placement —
-// sorted by node name. The result is cached per reduce partition until the
-// next map output lands, so the scheduler's O(reduce tasks) placement
-// queries don't rescan the O(maps) output table each time. Callers must not
-// mutate the returned slice.
+// live on each node that has written map output so far — the locality
+// signal for reduce placement — sorted by node name. It reads the totals
+// PutMapOutput accumulated, so a query costs O(nodes) whatever the map
+// count. The result is a fresh slice the caller owns.
 func (m *Manager) ReduceNodeBytes(shuffleID, reduce int) []NodeBytes {
-	return m.reduceProfile(shuffleID, reduce).nodes
-}
-
-// ReduceBytesByNode is ReduceNodeBytes as a map, for callers that prefer
-// keyed lookup over ordered iteration. It is served from the same
-// generation-invalidated cache entry — not rebuilt per call — so, like
-// ReduceNodeBytes, callers must not mutate the result.
-func (m *Manager) ReduceBytesByNode(shuffleID, reduce int) map[string]int64 {
-	return m.reduceProfile(shuffleID, reduce).byNode
-}
-
-// reduceProfile returns the cached locality profile of one reduce
-// partition (both the sorted slice and the keyed-map shape), recomputing
-// it when the generation moved. Computation happens outside the shuffle
-// lock on a snapshot; a concurrent map output simply leaves the cache
-// unfilled and the caller works from its own consistent snapshot.
-func (m *Manager) reduceProfile(shuffleID, reduce int) reduceNodeCache {
 	st := m.mustGet(shuffleID)
 	checkReduce(st, shuffleID, reduce)
-
-	st.mu.Lock()
-	if st.retired {
-		st.mu.Unlock()
-		panic(fmt.Sprintf("shuffle %d: read after retirement", shuffleID))
-	}
-	if c := st.nodeCache[reduce]; c.valid && c.gen == st.gen {
-		st.mu.Unlock()
-		return c
-	}
-	st.mu.Unlock()
-
-	outs, gen := st.snapshotOutputs(shuffleID)
-	totals := map[string]int64{}
-	for _, mo := range outs {
-		if mo == nil {
-			continue
-		}
-		totals[mo.node] += m.blockBytes(mo.out.Payloads[reduce])
-	}
-	nodes := make([]NodeBytes, 0, len(totals))
-	for n, b := range totals {
-		nodes = append(nodes, NodeBytes{Node: n, Bytes: b})
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
-	entry := reduceNodeCache{gen: gen, valid: true, nodes: nodes, byNode: totals}
-
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if gen == st.gen {
-		st.nodeCache[reduce] = entry
+	st.mustLive(shuffleID, "read")
+	out := make([]NodeBytes, len(st.nodes))
+	for i, n := range st.nodes {
+		out[i] = NodeBytes{Node: n, Bytes: st.totals[i][reduce]}
 	}
-	return entry
-}
-
-// BestReduceNode returns the node holding the most input for a reduce
-// partition across the given shuffles (a join reads several), with
-// deterministic tie-breaking. ok is false when no output exists yet.
-func (m *Manager) BestReduceNode(shuffleIDs []int, reduce int) (string, bool) {
-	totals := map[string]int64{}
-	for _, id := range shuffleIDs {
-		for _, nb := range m.ReduceNodeBytes(id, reduce) {
-			totals[nb.Node] += nb.Bytes
-		}
-	}
-	if len(totals) == 0 {
-		return "", false
-	}
-	nodes := make([]string, 0, len(totals))
-	for n := range totals {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	best := nodes[0]
-	for _, n := range nodes[1:] {
-		if totals[n] > totals[best] {
-			best = n
-		}
-	}
-	return best, true
-}
-
-// TotalWriteBytes reports the total bytes written by a shuffle so far
-// (payload + overhead over all blocks).
-func (m *Manager) TotalWriteBytes(shuffleID int) int64 {
-	st := m.mustGet(shuffleID)
-	outs, _ := st.snapshotOutputs(shuffleID)
-	var sum int64
-	for _, mo := range outs {
-		if mo == nil {
-			continue
-		}
-		for _, p := range mo.out.Payloads {
-			sum += m.blockBytes(p)
-		}
-	}
-	return sum
+	return out
 }
 
 // RetireExcept releases every tracked shuffle whose id is not in live:
-// output tables and locality caches — and with them every map task's
-// columnar arena — drop in one step, so a whole generation's shuffle
-// memory frees at once instead of trickling through the GC pair by pair.
-// Retired ids keep a stub state so a late read panics with a clear
-// lifecycle message instead of corrupting silently; Register over a
+// output tables, locality totals and block indexes — and with them every
+// map task's columnar arena — drop in one step, so a whole generation's
+// shuffle memory frees at once instead of trickling through the GC pair
+// by pair. Retired ids keep a stub state so a late access panics with a
+// clear lifecycle message instead of corrupting silently; Register over a
 // retired id resets it fresh (a retuned stage re-runs its map side).
 //
 // The scheduler calls this at job submission with every shuffle id still
@@ -396,9 +378,9 @@ func (m *Manager) RetireExcept(live []int) int {
 		st.mu.Lock()
 		if !st.retired {
 			st.outputs = nil
-			st.nodeCache = nil
+			st.nodes, st.totals = nil, nil
+			st.blockStarts, st.blocks = nil, nil
 			st.completed = 0
-			st.gen++
 			st.retired = true
 			retired++
 		}
